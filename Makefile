@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch examples miri loom loom-mutant fault fault-storm
+.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch examples miri loom loom-mutant fault fault-storm perfbench-smoke
 
 ci: fmt clippy build test doc bench-check
 
@@ -103,6 +103,17 @@ bench-diff:
 	BENCH_JSON=$(CURDIR)/target/bench-current.json $(MAKE) bench-json
 	$(CARGO) run -q --release -p la_bench --bin bench_diff -- \
 		bench/baselines target/bench-current.json
+
+# The repository benchmark (perfbench, see BENCHMARK.json) is a workspace of
+# its own, so the build/clippy/test steps above never compile it: run one
+# short elastic workload and require its self-check to pass, so a library
+# API change cannot break the benchmark unseen.  The last stdout line is the
+# run's JSON record.
+perfbench-smoke:
+	CARGO_TARGET_DIR=.bench_build $(CARGO) run --quiet --release --offline \
+		--manifest-path perfbench/Cargo.toml -- \
+		--workload elastic --seed 1 --seconds 1 --trace 0 \
+		| tail -n 1 | grep '"correct": true'
 
 # Model-checked interleavings of the innermost slot representations and the
 # layout-conformance seam (the suites shrink their case counts under

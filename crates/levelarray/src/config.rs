@@ -389,9 +389,11 @@ impl LevelArrayConfig {
     /// Sets the stuck-pin watchdog threshold (default
     /// [`DEFAULT_STUCK_PIN_THRESHOLD_MS`]): when an elastic array's
     /// retirement grace observation fails *and* the oldest active chain pin
-    /// is at least this old, the array stops hammering retirement and
-    /// defers it (and shrink) under a capped exponential backoff instead of
-    /// livelocking against a wedged reader.  See
+    /// has been seen busy for at least this long (ages run from the first
+    /// observation, typically the first failed pass), the array stops
+    /// hammering retirement and defers it (and shrink) under a capped
+    /// exponential backoff instead of livelocking against a wedged reader.
+    /// See
     /// [`crate::ElasticLevelArray::robustness_report`].
     #[must_use = "builder methods return the updated configuration"]
     pub fn stuck_pin_threshold_ms(mut self, threshold_ms: u64) -> Self {

@@ -922,20 +922,27 @@ impl ElasticLevelArray {
     }
 
     /// Whether the stuck-pin watchdog's backoff deadline is still in the
-    /// future — retirement passes and shrinks defer while it is.
+    /// future — retirement passes and shrinks defer while it is.  The
+    /// deadline is loaded first and 0 means no backoff is armed (see
+    /// [`ElasticLevelArray::note_grace_success`]), so healthy maintenance
+    /// never reads the clock.
     fn watchdog_deferring(&self) -> bool {
-        now_ms()
-            < self
-                .backoff_until
-                .load(std::sync::atomic::Ordering::Relaxed)
+        let until = self
+            .backoff_until
+            .load(std::sync::atomic::Ordering::Relaxed);
+        until != 0 && now_ms() < until
     }
 
-    /// A grace observation failed.  If the oldest active pin has been stuck
-    /// for at least the watchdog threshold, arm (or extend) the capped
+    /// A grace observation failed.  If the oldest active pin has been seen
+    /// busy for at least the watchdog threshold, arm (or extend) the capped
     /// exponential backoff: 1ms, 2ms, … up to [`MAX_BACKOFF_MS`] per
     /// consecutive stuck failure.  `fetch_max` so a racing pass never
     /// *shortens* an armed deadline.  Failures against young pins — routine
-    /// contention — never back off.
+    /// contention — never back off.  The pin reads no clock, so a stripe's
+    /// age runs from the first observation of its busy period (see
+    /// [`EpochChain::oldest_pin_age_ms`]), usually the first failed pass:
+    /// the backoff arms one threshold after that pass, not one threshold
+    /// after the pin began.
     ///
     /// This is the watchdog's entire authority: it decides when *not* to
     /// run retirement.  It never unseals, never unlinks, and never touches
@@ -1723,6 +1730,45 @@ mod tests {
         // The explicit call still works.
         assert!(array.try_retire() >= 2);
         assert_eq!(array.num_epochs(), 1);
+    }
+
+    #[test]
+    fn steady_state_get_and_free_read_no_clock() {
+        let array = ElasticLevelArray::new(16, GrowthPolicy::Fixed);
+        let mut rng = default_rng(13);
+        let before = crate::epoch_chain::clock_reads();
+        for _ in 0..1000 {
+            let names: Vec<Name> = (0..8).map(|_| array.get(&mut rng).name()).collect();
+            for name in names {
+                array.free(name);
+            }
+        }
+        assert_eq!(
+            crate::epoch_chain::clock_reads(),
+            before,
+            "an elastic Get or Free read the clock"
+        );
+    }
+
+    #[test]
+    fn retirement_with_no_backoff_armed_reads_no_clock() {
+        let array = LevelArrayConfig::new(2)
+            .growth(GrowthPolicy::Doubling { max_epochs: 5 })
+            .auto_retire(false)
+            .build_elastic()
+            .unwrap();
+        let mut rng = default_rng(14);
+        let names: Vec<Name> = (0..30).map(|_| array.get(&mut rng).name()).collect();
+        for name in names {
+            array.free(name);
+        }
+        let before = crate::epoch_chain::clock_reads();
+        assert!(array.try_retire() >= 2);
+        assert_eq!(
+            crate::epoch_chain::clock_reads(),
+            before,
+            "a healthy retirement pass read the clock"
+        );
     }
 
     #[test]

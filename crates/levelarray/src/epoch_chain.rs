@@ -80,23 +80,50 @@ use std::ptr;
 use std::sync::Arc;
 
 /// Milliseconds since an arbitrary process-local anchor — the advisory
-/// clock behind stuck-pin ages and watchdog backoff deadlines.  Monotonic,
-/// cheap, and deliberately *not* routed through `la_sync`: the timestamps
-/// are diagnostics, not synchronization, so the loom model never sees them.
-#[cfg(not(miri))]
+/// clock behind stuck-pin ages and watchdog backoff deadlines.  Monotonic
+/// and deliberately *not* routed through `la_sync`: the timestamps are
+/// diagnostics, not synchronization, so the loom model never sees them.
+/// Counts from 1, because [`PinStripe::busy_since`] reserves 0 for "not
+/// seen yet"; an offset rather than a clamp keeps every difference exact.
+/// An `Instant::now()` costs more than a pin/unpin pair, so no array
+/// hot path reads it, and `#[cold]` keeps it out of line in the callers
+/// that do: watchdog observers, armed deadlines and the opt-in lease
+/// layer's stamps.
+#[cold]
 pub(crate) fn now_ms() -> u64 {
+    #[cfg(test)]
+    CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    clock_ms()
+}
+
+#[cfg(not(miri))]
+fn clock_ms() -> u64 {
     use std::time::Instant;
     static ANCHOR: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
     let anchor = *ANCHOR.get_or_init(Instant::now);
-    u64::try_from(anchor.elapsed().as_millis()).unwrap_or(u64::MAX)
+    u64::try_from(anchor.elapsed().as_millis()).map_or(u64::MAX, |ms| ms + 1)
 }
 
-/// Miri's isolation mode forbids `Instant::now`; a ticking counter keeps
-/// the ages monotonic (every read advances time by 1ms) without it.
+/// Miri's isolation mode forbids `Instant::now`; a ticking counter, also
+/// from 1, keeps the ages monotonic (every read advances time by 1ms).
 #[cfg(miri)]
-pub(crate) fn now_ms() -> u64 {
-    static TICKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+fn clock_ms() -> u64 {
+    static TICKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     TICKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times the calling thread has read [`now_ms`].  Per thread
+    /// because unit tests run in parallel; the tests that pin the hot paths
+    /// clock-free assert a zero delta over their own operations.
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's [`now_ms`] read count (see `CLOCK_READS`).
+#[cfg(test)]
+pub(crate) fn clock_reads() -> u64 {
+    CLOCK_READS.with(Cell::get)
 }
 
 /// Default number of pin stripes (see [`EpochChain::with_stripes`]).
@@ -129,7 +156,10 @@ fn thread_token() -> usize {
 #[repr(align(128))]
 struct PinStripe {
     active: AtomicUsize,
-    /// [`now_ms`] stamp of the stripe's last idle→busy transition; only
+    /// [`now_ms`] stamp of the first observation of the stripe's current
+    /// busy period, or 0 if no observer has seen this busy period yet: the
+    /// idle→busy pin resets it to 0 (no clock read on the pin), and
+    /// [`EpochChain::oldest_pin_age_ms`] stamps it on first sight.  Only
     /// meaningful while `active > 0`.  A plain std atomic on purpose — it
     /// feeds the advisory stuck-pin watchdog, plays no part in the grace
     /// protocol, and must stay invisible to the loom model.
@@ -288,18 +318,19 @@ impl<T> EpochChain<T> {
     /// Pins the calling thread: until the returned guard drops, every node
     /// reachable from the head (as loaded through the guard) is guaranteed
     /// to stay allocated.  Pinning is one striped `fetch_add`, plus a
-    /// clock stamp when it moves the stripe from idle to busy (the
-    /// stuck-pin watchdog's age source); it never blocks and never fails.
+    /// relaxed store that marks a new busy period unseen when it moves the
+    /// stripe from idle to busy; it reads no clock, never blocks and never
+    /// fails.
     #[must_use = "the guard is the protection; dropping it immediately unpins"]
     pub fn pin(&self) -> ChainPin<'_, T> {
         let stripe = thread_token() % self.stripes.len();
         if self.stripes[stripe].active.fetch_add(1, Ordering::SeqCst) == 0 {
-            // Idle→busy: stamp the stripe so the watchdog can age it.  The
-            // store may race another pin on the same stripe; either stamp is
-            // a valid lower bound on how long the stripe has been busy.
+            // Idle→busy: a new busy period, not yet seen by the watchdog.
+            // The store hits the line the fetch_add just took exclusive;
+            // the first `oldest_pin_age_ms` to find the stripe busy dates it.
             self.stripes[stripe]
                 .busy_since
-                .store(now_ms(), std::sync::atomic::Ordering::Relaxed);
+                .store(0, std::sync::atomic::Ordering::Relaxed);
         }
         let guard = ChainPin {
             chain: self,
@@ -312,18 +343,39 @@ impl<T> EpochChain<T> {
     }
 
     /// Age in milliseconds of the oldest currently-active pin stripe, or
-    /// `None` when no pins are active.  Advisory: the answer is a snapshot
-    /// racing live pin/unpin traffic and over-approximates per stripe (a
-    /// stripe's age is measured from its idle→busy transition, which may
-    /// predate the oldest pin still held on it).  The stuck-pin watchdog
-    /// only uses it to decide *when to back off*, never to justify an
-    /// unlink — safety always comes from the grace-period observation.
+    /// `None` when no pins are active.  A stripe's age runs from the first
+    /// time an observer saw its current busy period: the pin itself reads
+    /// no clock, so this cold path stamps a not-yet-seen stripe with a
+    /// relaxed CAS (0 → now) and reports 0 for it.  Each age is therefore a
+    /// per-stripe bound that both under-counts (by the time before the
+    /// first observation) and over-approximates (the busy period may
+    /// predate the oldest pin still held on the stripe), and the snapshot
+    /// races live pin/unpin traffic.
+    ///
+    /// Advisory only.  The stuck-pin watchdog uses the age solely to decide
+    /// *when to back off*, never to justify an unlink — safety always comes
+    /// from the grace-period observation — so a wrong age can delay
+    /// reclamation but never free anything early.  Because the watchdog is
+    /// the first observer, its backoff arms one threshold after the first
+    /// *failed grace check* against a stuck pin rather than one threshold
+    /// after the pin began; at threshold 0 nothing changes.
     pub fn oldest_pin_age_ms(&self) -> Option<u64> {
         let now = now_ms();
         self.stripes
             .iter()
             .filter(|s| s.active.load(Ordering::SeqCst) > 0)
-            .map(|s| now.saturating_sub(s.busy_since.load(std::sync::atomic::Ordering::Relaxed)))
+            .map(|s| {
+                let since = match s.busy_since.compare_exchange(
+                    0,
+                    now,
+                    std::sync::atomic::Ordering::Relaxed,
+                    std::sync::atomic::Ordering::Relaxed,
+                ) {
+                    Ok(_) => now,
+                    Err(stamp) => stamp,
+                };
+                now.saturating_sub(since)
+            })
             .max()
     }
 
@@ -843,6 +895,42 @@ mod tests {
         let pin = chain.pin();
         assert_eq!(pin.num_nodes(), 2);
         assert_eq!(*pin.head().value(), if cfg!(miri) { 20 } else { 200 });
+    }
+
+    #[test]
+    fn pin_and_unpin_read_no_clock() {
+        let chain = EpochChain::new(0usize);
+        let before = clock_reads();
+        for _ in 0..if cfg!(miri) { 100 } else { 10_000 } {
+            drop(chain.pin());
+        }
+        assert_eq!(clock_reads(), before, "the pin hot path read the clock");
+    }
+
+    #[test]
+    fn pin_age_is_none_without_pins() {
+        let chain = EpochChain::new(0usize);
+        assert_eq!(chain.oldest_pin_age_ms(), None);
+        drop(chain.pin());
+        assert_eq!(chain.oldest_pin_age_ms(), None);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "the miri clock ticks per read, not with sleeps")]
+    fn pin_age_runs_from_first_observation() {
+        let chain = EpochChain::new(0usize);
+        let pin = chain.pin();
+        let first = chain.oldest_pin_age_ms().expect("a pin is active");
+        assert!(first <= 1, "first sight dates the busy period: {first}");
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let later = chain.oldest_pin_age_ms().expect("a pin is active");
+        assert!(later >= 30, "the stamp did not hold: {later}");
+        drop(pin);
+
+        // A new busy period never inherits the old stamp.
+        let _pin = chain.pin();
+        let fresh = chain.oldest_pin_age_ms().expect("a pin is active");
+        assert!(fresh <= 1, "the re-pin inherited the old stamp: {fresh}");
     }
 
     #[test]

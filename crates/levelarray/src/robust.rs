@@ -27,8 +27,11 @@ pub struct RobustnessReport {
     pub quarantined: usize,
     /// Age of the oldest currently-active chain pin in milliseconds, or
     /// `None` when no pins are active (always `None` for non-elastic
-    /// arrays, which have no chain to pin).  Advisory and stripe-granular;
-    /// see `EpochChain::oldest_pin_age_ms`.
+    /// arrays, which have no chain to pin).  Advisory and stripe-granular,
+    /// and measured from the first time an observer (this report or a
+    /// failed retirement pass) saw the pin's stripe busy, not from the pin
+    /// itself: a pin first seen by this report reads 0.  See
+    /// `EpochChain::oldest_pin_age_ms`.
     pub oldest_pin_age_ms: Option<u64>,
     /// Shrink attempts skipped because the stuck-pin watchdog's backoff was
     /// armed.

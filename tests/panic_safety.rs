@@ -666,4 +666,108 @@ mod storm {
         assert_eq!(report.oldest_pin_age_ms, None);
         la_fault::reset();
     }
+
+    /// The pin reads no clock, so the watchdog dates a stuck pin from the
+    /// first failed grace check that sees it, not from the pin itself.  A
+    /// pinner parked well past the threshold must therefore not arm the
+    /// backoff on the first failed pass; once it has been *seen* stuck for
+    /// longer than the threshold, failing passes arm it — and no pass ever
+    /// unlinks the epoch the pinner holds.
+    #[test]
+    fn watchdog_dates_a_stuck_pin_from_the_first_failed_pass() {
+        const THRESHOLD_MS: u64 = 50;
+        let _gate = armed(FaultPlan::count_only(1));
+        let array = Arc::new(
+            LevelArrayConfig::new(1)
+                .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+                .auto_retire(false)
+                .stuck_pin_threshold_ms(THRESHOLD_MS)
+                .build_elastic()
+                .expect("valid configuration"),
+        );
+
+        // Two epochs, the oldest drained and retirable, one name anchoring
+        // the newest.
+        let mut rng = default_rng(7);
+        let mut names = Vec::new();
+        while array.num_epochs() < 2 {
+            match array.try_get(&mut rng) {
+                Some(got) => names.push(got.name()),
+                None => break,
+            }
+        }
+        assert!(array.num_epochs() >= 2, "the array never grew");
+        let anchor = names
+            .iter()
+            .copied()
+            .find(|n| n.epoch() > 0)
+            .expect("a grown-epoch name");
+        for name in names {
+            if name != anchor {
+                array.free(name);
+            }
+        }
+
+        la_fault::reset();
+        la_fault::arm_site("epoch_chain::pinned", 1, FaultAction::Pause);
+        let stuck = {
+            let array = Arc::clone(&array);
+            std::thread::spawn(move || {
+                let mut rng = default_rng(8);
+                if let Some(got) = array.try_get(&mut rng) {
+                    array.free(got.name());
+                }
+            })
+        };
+        for _ in 0..2000 {
+            if la_fault::paused_count() == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(la_fault::paused_count(), 1, "the pinner never parked");
+
+        // The pin is now older than the threshold, but nobody has seen it:
+        // the first failed pass dates it and must not arm the backoff, so
+        // the pass right after it still runs instead of deferring.
+        std::thread::sleep(Duration::from_millis(THRESHOLD_MS + 10));
+        let epochs_before = array.num_epochs();
+        assert_eq!(array.try_retire(), 0, "retired under a live pin");
+        assert_eq!(array.try_retire(), 0, "retired under a live pin");
+        let first_report = array.robustness_report();
+        assert_eq!(
+            first_report.deferred_retirements, 0,
+            "the first failed pass armed the backoff: {first_report:?}"
+        );
+        assert!(
+            matches!(first_report.oldest_pin_age_ms, Some(age) if age < THRESHOLD_MS),
+            "the age did not run from the first observation: {first_report:?}"
+        );
+
+        // Seen stuck for longer than the threshold: failing passes arm the
+        // backoff, and the epoch the pinner holds is never unlinked.
+        std::thread::sleep(Duration::from_millis(THRESHOLD_MS + 10));
+        for _ in 0..200 {
+            assert_eq!(array.try_retire(), 0, "retired under a live pin");
+            assert_eq!(
+                array.num_epochs(),
+                epochs_before,
+                "the watchdog unlinked an epoch a live pinner holds"
+            );
+        }
+        let stuck_report = array.robustness_report();
+        assert!(
+            stuck_report.deferred_retirements > 0,
+            "the backoff never engaged: {stuck_report:?}"
+        );
+        assert!(
+            stuck_report.oldest_pin_age_ms >= Some(THRESHOLD_MS + 10),
+            "the stamp did not hold: {stuck_report:?}"
+        );
+
+        la_fault::release_paused();
+        stuck.join().expect("the stuck pinner panicked");
+        array.free(anchor);
+        la_fault::reset();
+    }
 }
