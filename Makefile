@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch examples miri loom loom-mutant fault fault-storm perfbench-smoke
+.PHONY: ci fmt clippy build test doc bench-check bench-smoke bench-json bench-diff bench-layout bench-topology bench-batch examples miri loom loom-mutant fault fault-storm perfbench-smoke scan-placement
 
 ci: fmt clippy build test doc bench-check
 
@@ -105,15 +105,49 @@ bench-diff:
 		bench/baselines target/bench-current.json
 
 # The repository benchmark (perfbench, see BENCHMARK.json) is a workspace of
-# its own, so the build/clippy/test steps above never compile it: run one
-# short elastic workload and require its self-check to pass, so a library
-# API change cannot break the benchmark unseen.  The last stdout line is the
-# run's JSON record.
+# its own, so the build/clippy/test steps above never compile it: run two
+# short workloads and require their self-checks to pass, so a library API
+# change cannot break the benchmark unseen.  `elastic` covers the elastic
+# array; `reclaim` checks the reclamation domain's accounting end to end
+# (the Treiber stack drains by count and checksum, and after a quiescent
+# pass retired == freed with nothing left in limbo).  The last stdout line
+# of each run is its JSON record.
 perfbench-smoke:
 	CARGO_TARGET_DIR=.bench_build $(CARGO) run --quiet --release --offline \
 		--manifest-path perfbench/Cargo.toml -- \
 		--workload elastic --seed 1 --seconds 1 --trace 0 \
 		| tail -n 1 | grep '"correct": true'
+	CARGO_TARGET_DIR=.bench_build $(CARGO) run --quiet --release --offline \
+		--manifest-path perfbench/Cargo.toml -- \
+		--workload reclaim --seed 1 --seconds 1 --trace 0 \
+		| tail -n 1 | grep '"correct": true'
+
+# Where the word-per-slot Collect loop landed in the perfbench binary (a
+# report, not a gate; build it first, e.g. with `make perfbench-smoke`).
+# `reclaim` throughput swings with the offset of that loop within its
+# 64-byte line (see ROADMAP.md), so for each copy of
+# `SlotSlab::collect_all_into` this prints the line offset that the
+# backward `jne` after `cmp $$0x1` jumps to, and the functions that call
+# the copy.  Prints "not found" and succeeds when the pattern is absent.
+# Point it at another build with SCAN_BIN=<path>.
+SCAN_BIN ?= .bench_build/release/perfbench
+scan-placement:
+	@found=0; \
+	for sym in $$(nm -S $(SCAN_BIN) 2>/dev/null | awk '/SlotSlab16collect_all_into/ {print $$1 ":" $$2}'); do \
+		start=$$((0x$${sym%%:*})); stop=$$((start + 0x$${sym##*:})); \
+		target=$$(objdump -d --no-show-raw-insn --start-address=$$start --stop-address=$$stop $(SCAN_BIN) \
+			| awk '{ at = $$1; sub(":", "", at) } \
+				cmp && $$2 == "jne" && (length($$3) < length(at) || (length($$3) == length(at) && $$3 < at)) { print $$3; exit } \
+				{ cmp = /cmp +\$$0x1,/ }'); \
+		[ -n "$$target" ] || continue; \
+		found=1; \
+		callers=$$(objdump -d -C --no-show-raw-insn $(SCAN_BIN) \
+			| awk -v a=$$(printf '%x' $$start) '/^[0-9a-f]+ </ { fn = $$0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$$/, "", fn) } \
+				$$2 == "call" && $$3 == a { print fn }' | sort -u | paste -sd ';'); \
+		printf 'collect_all_into @ 0x%x: loop lands at 0x%02x of its 64-byte line; called from %s\n' \
+			$$start $$((0x$$target & 63)) "$$callers"; \
+	done; \
+	[ $$found = 1 ] || echo "not found"
 
 # Model-checked interleavings of the innermost slot representations and the
 # layout-conformance seam (the suites shrink their case counts under

@@ -9,14 +9,35 @@
 //! * When a thread unlinks a node it calls [`ReclaimDomain::retire`] — the
 //!   node goes into the *open limbo bag* together with nothing else; it cannot
 //!   be freed yet because other pinned operations may still hold references.
-//! * [`ReclaimDomain::try_reclaim`] closes the open bag by taking a `Collect`
-//!   snapshot of the names registered at that moment; a closed bag may be
-//!   freed once **every name in its snapshot has been observed absent** in
-//!   some later `Collect`.  A name's absence proves the operation that held it
-//!   at close time has completed (it held the name continuously until its
-//!   `Free`), so no operation that could have seen the retired nodes is still
-//!   running.  Re-acquisition of the same name by a *new* operation merely
-//!   delays reclamation; it never makes it unsafe.
+//! * [`ReclaimDomain::try_reclaim`] runs a *pass*: it closes the open bag and
+//!   then takes a `Collect` snapshot of the names registered at that moment;
+//!   a closed bag may be freed once **every name in its snapshot has been
+//!   observed absent** in some later `Collect`.  A name's absence proves the
+//!   operation that held it at close time has completed (it held the name
+//!   continuously until its `Free`), so no operation that could have seen the
+//!   retired nodes is still running.  Re-acquisition of the same name by a
+//!   *new* operation merely delays reclamation; it never makes it unsafe.
+//!
+//! Two locks split the work, so a `retire` never waits on a `Collect`:
+//!
+//! * the **open lock** guards the open bag and the retired count.  `retire`
+//!   takes only this lock, for one push;
+//! * the **limbo lock** guards the closed bags, the scan buffer and the pass
+//!   counters.  A pass holds it from start to end, so passes run one at a
+//!   time.
+//!
+//! Two rules keep this sound and deadlock-free:
+//!
+//! * **Close, then snapshot.**  A pass swaps the open bag out *before* it
+//!   takes its `Collect`.  Every node in the closed bag was unlinked before
+//!   the close, so an operation that can still reach it pinned before the
+//!   snapshot and, while it stays pinned, is in it.  The other order is
+//!   unsound: a node retired between a snapshot and the close would land in
+//!   a bag whose snapshot misses a reader that pinned after that snapshot,
+//!   and the node would be freed under the reader.
+//! * **Lock order: limbo → open.**  A pass (and [`ReclaimDomain::stats`])
+//!   takes the open lock only while it holds the limbo lock; `retire` never
+//!   takes the limbo lock.
 //!
 //! This is the "dynamic collect" reclamation scheme of the paper's reference
 //! \[17\], expressed over the activity-array API.
@@ -27,11 +48,9 @@
 //! absence proof is exactly the quiescence argument
 //! [`levelarray::ElasticLevelArray`] itself uses to retire drained epochs.
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use la_fault::fail_point;
-use la_sync::atomic::{AtomicU64, Ordering};
 
 use larng::RandomSource;
 use levelarray::{ActivityArray, Name};
@@ -72,23 +91,53 @@ impl Retired {
     }
 }
 
+/// The bag `retire` appends to, behind the open lock.
+#[derive(Debug, Default)]
+struct OpenBag {
+    nodes: Vec<Retired>,
+    /// Nodes retired over the domain's lifetime.
+    retired: u64,
+}
+
 /// A bag of retired nodes closed against a `Collect` snapshot.
 #[derive(Debug)]
 struct ClosedBag {
     nodes: Vec<Retired>,
     /// Names that were registered when the bag was closed and have not yet
-    /// been observed absent.
-    waiting_on: HashSet<Name>,
+    /// been observed absent, sorted.
+    waiting_on: Vec<Name>,
 }
 
+/// Everything a pass owns, behind the limbo lock.
 #[derive(Debug, Default)]
 struct LimboState {
-    open: Vec<Retired>,
     closed: Vec<ClosedBag>,
     /// Reusable `Collect` buffer: the steady-state reclamation pass scans the
     /// registry through [`ActivityArray::collect_into`], so it stops paying a
     /// fresh `Vec` allocation per grace-period scan.
     scan: Vec<Name>,
+    /// The bag being closed.  Between passes it is empty: the spare that a
+    /// close swaps in for the open bag, recycled from a freed bag, so
+    /// `retire` pushes into spare capacity instead of allocating under the
+    /// open lock.  During a pass it holds the nodes closed but not yet filed
+    /// against a snapshot; a pass that unwinds before filing them leaves
+    /// them here, still in limbo, for the next pass.
+    closing: Vec<Retired>,
+    /// Nodes freed (or moved out to be freed) so far.
+    freed: u64,
+    /// Completed reclamation passes.
+    passes: u64,
+}
+
+impl LimboState {
+    fn in_limbo(&self) -> u64 {
+        self.closing.len() as u64
+            + self
+                .closed
+                .iter()
+                .map(|b| b.nodes.len() as u64)
+                .sum::<u64>()
+    }
 }
 
 /// Counters describing the state of a domain (for tests, benchmarks, and
@@ -113,10 +162,10 @@ pub struct DomainStats {
 #[derive(Debug)]
 pub struct ReclaimDomain {
     registry: Arc<dyn ActivityArray>,
+    /// The pass lock.  Lock order: `limbo` → `open`.
     limbo: Mutex<LimboState>,
-    retired: AtomicU64,
-    freed: AtomicU64,
-    passes: AtomicU64,
+    /// The retire lock, held for one push.
+    open: Mutex<OpenBag>,
 }
 
 impl ReclaimDomain {
@@ -125,9 +174,7 @@ impl ReclaimDomain {
         ReclaimDomain {
             registry,
             limbo: Mutex::new(LimboState::default()),
-            retired: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
-            passes: AtomicU64::new(0),
+            open: Mutex::new(OpenBag::default()),
         }
     }
 
@@ -182,7 +229,8 @@ impl ReclaimDomain {
     /// The caller must guarantee the node is unreachable for *new* operations
     /// (it has been unlinked from the shared structure); operations that were
     /// already pinned may still read it, which is exactly what the grace
-    /// period protects.
+    /// period protects.  Takes only the open lock, so it never waits for a
+    /// pass's `Collect`.
     pub fn retire<T: Send + 'static>(&self, boxed: Box<T>) {
         // Type-erase *before* the fault site: `Retired` has no Drop impl, so
         // a panic past this point leaks the allocation (safe — readers may
@@ -190,52 +238,80 @@ impl ReclaimDomain {
         // and freeing it under their feet.
         let node = Retired::new(boxed);
         fail_point!("reclaim::retire");
-        self.retired.fetch_add(1, Ordering::Relaxed);
-        let mut limbo = self.lock_limbo();
-        limbo.open.push(node);
+        let mut open = self.lock_open();
+        open.retired += 1;
+        open.nodes.push(node);
     }
 
     /// Runs one reclamation pass and returns the number of nodes freed.
     ///
-    /// A pass (1) closes the open bag against a fresh `Collect` snapshot,
-    /// (2) prunes every closed bag's waiting set by removing names absent from
-    /// the snapshot, and (3) frees the bags whose waiting sets have emptied.
+    /// A pass (1) closes the open bag, (2) takes a `Collect` snapshot and
+    /// files the bag against it, (3) prunes every closed bag's waiting set by
+    /// removing names absent from the snapshot, and (4) frees the bags whose
+    /// waiting sets have emptied — after it has released the limbo lock.
+    ///
+    /// Passes are serialized on the limbo lock: a pass waits behind a
+    /// running one rather than skipping it or overlapping it.  On the
+    /// `reclaim` benchmark both faster alternatives — skipping when a pass is
+    /// running, and concurrent passes with the `Collect` outside the lock —
+    /// raised throughput but made p50/p90 operation latency 1.7–3× worse
+    /// (see ROADMAP.md): a pass that waits keeps the two threads' stack
+    /// operations apart, and overlapped push and pop cost about twice as
+    /// much each.
     pub fn try_reclaim(&self) -> u64 {
         // Early-return variant: a "died before the pass" fault simply skips
         // this pass — reclamation is optional progress, never correctness.
         fail_point!("reclaim::reclaim", 0);
-        let mut limbo = self.lock_limbo();
+        let mut guard = self.lock_limbo();
+        let limbo = &mut *guard;
+
+        // (1) Close first, so the snapshot below is taken after every node
+        // in the bag was retired (see "Close, then snapshot").
+        {
+            let mut open = self.lock_open();
+            std::mem::swap(&mut open.nodes, &mut limbo.closing);
+            // Normally a no-op: only a pass that unwound leaves nodes behind.
+            limbo.closing.append(&mut open.nodes);
+        }
+        fail_point!("reclaim::closed");
+
+        // (2) Then snapshot, and file the bag against it.
         limbo.scan.clear();
         self.registry.collect_into(&mut limbo.scan);
-        let snapshot: HashSet<Name> = limbo.scan.iter().copied().collect();
-
-        // (1) Close the open bag, if it has anything in it.
-        if !limbo.open.is_empty() {
-            let nodes = std::mem::take(&mut limbo.open);
+        limbo.scan.sort_unstable();
+        limbo.scan.dedup();
+        let snapshot = &limbo.scan;
+        if !limbo.closing.is_empty() {
             limbo.closed.push(ClosedBag {
-                nodes,
+                nodes: std::mem::take(&mut limbo.closing),
                 waiting_on: snapshot.clone(),
             });
         }
 
-        // (2) + (3) Prune waiting sets and free ripe bags.
-        let mut freed = 0u64;
-        let mut still_closed = Vec::with_capacity(limbo.closed.len());
-        for mut bag in limbo.closed.drain(..) {
-            bag.waiting_on.retain(|name| snapshot.contains(name));
-            if bag.waiting_on.is_empty() {
-                freed += bag.nodes.len() as u64;
-                for node in bag.nodes {
-                    node.reclaim();
-                }
-            } else {
-                still_closed.push(bag);
+        // (3) Prune every bag and move the ripe nodes out.  A bag closed
+        // against an empty snapshot is ripe at once.
+        let mut ripe = Vec::new();
+        limbo.closed.retain_mut(|bag| {
+            bag.waiting_on
+                .retain(|name| snapshot.binary_search(name).is_ok());
+            if !bag.waiting_on.is_empty() {
+                return true;
             }
-        }
-        limbo.closed = still_closed;
+            ripe.append(&mut bag.nodes);
+            if limbo.closing.capacity() == 0 {
+                limbo.closing = std::mem::take(&mut bag.nodes);
+            }
+            false
+        });
+        let freed = ripe.len() as u64;
+        limbo.freed += freed;
+        limbo.passes += 1;
+        drop(guard);
 
-        self.freed.fetch_add(freed, Ordering::Relaxed);
-        self.passes.fetch_add(1, Ordering::Relaxed);
+        // (4) Free outside the lock: nothing can reach these nodes any more.
+        for node in ripe {
+            node.reclaim();
+        }
         freed
     }
 
@@ -247,20 +323,34 @@ impl ReclaimDomain {
         self.limbo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The open lock, tolerant of poisoning for the same reason as
+    /// [`ReclaimDomain::lock_limbo`].
+    fn lock_open(&self) -> MutexGuard<'_, OpenBag> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current counters.
+    ///
+    /// The counters are read under both locks, so `retired == freed +
+    /// in_limbo` holds in every snapshot, mid-traffic included.  The
+    /// `pinned_now` census runs after both are released: it is a `Collect`,
+    /// and neither a `retire` nor a pass should wait on it.
     pub fn stats(&self) -> DomainStats {
-        let limbo = self.lock_limbo();
-        let in_limbo = limbo.open.len() as u64
-            + limbo
-                .closed
-                .iter()
-                .map(|b| b.nodes.len() as u64)
-                .sum::<u64>();
+        let (retired, freed, in_limbo, reclaim_passes) = {
+            let limbo = self.lock_limbo();
+            let open = self.lock_open();
+            (
+                open.retired,
+                limbo.freed,
+                open.nodes.len() as u64 + limbo.in_limbo(),
+                limbo.passes,
+            )
+        };
         DomainStats {
-            retired: self.retired.load(Ordering::Relaxed),
-            freed: self.freed.load(Ordering::Relaxed),
+            retired,
+            freed,
             in_limbo,
-            reclaim_passes: self.passes.load(Ordering::Relaxed),
+            reclaim_passes,
             pinned_now: self.registry.collect().len(),
         }
     }
@@ -270,8 +360,12 @@ impl Drop for ReclaimDomain {
     fn drop(&mut self) {
         // The domain owns every allocation still in limbo; free them now.
         // (No operation can still be pinned: guards borrow the domain.)
+        let open = self.open.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for node in open.nodes.drain(..) {
+            node.reclaim();
+        }
         let limbo = self.limbo.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for node in limbo.open.drain(..) {
+        for node in limbo.closing.drain(..) {
             node.reclaim();
         }
         for bag in limbo.closed.drain(..) {
@@ -346,7 +440,8 @@ mod tests {
     use super::*;
     use larng::default_rng;
     use levelarray::LevelArray;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn domain(n: usize) -> ReclaimDomain {
         ReclaimDomain::new(Arc::new(LevelArray::new(n)))
@@ -566,6 +661,16 @@ mod tests {
                     }
                 });
             }
+            // Mid-traffic, until every worker has dropped its handle: the
+            // accounting identity holds in every snapshot, not only at
+            // quiescence.
+            scope.spawn(|| loop {
+                let stats = d.stats();
+                assert_eq!(stats.retired, stats.freed + stats.in_limbo, "{stats:?}");
+                if Arc::strong_count(&d) == 1 {
+                    break;
+                }
+            });
         });
         // Quiescent now: a couple of passes flush everything.
         let _ = d.try_reclaim();

@@ -6,13 +6,18 @@
 //! within loom's preemption bound; in normal builds the same models run once
 //! as smoke tests, so this file is deliberately *not* `#![cfg(la_loom)]`.
 //!
-//! The limbo bag itself sits behind a plain mutex, so the model keeps all
-//! limbo-lock traffic on a **single** thread (the reclaimer) — loom does not
-//! track `std::sync::Mutex`, and single-threaded lock use keeps that blind
-//! spot inert.  What the model *does* race is the part the paper's argument
-//! rests on: the registry's atomic slots, i.e. whether a `Collect` snapshot
-//! taken by the reclaimer can ever miss a pin that was established before
-//! the bag closed.
+//! The domain's bags sit behind two plain mutexes — the open-bag lock that
+//! `retire` takes and the limbo lock a pass holds — and loom does not track
+//! `std::sync::Mutex`.  The models therefore keep all traffic on both locks
+//! on a **single** thread at a time: they retire *before* they spawn any
+//! other thread, and no two passes overlap, so that blind spot stays
+//! inert.  The race between `retire` and a pass's close is covered instead
+//! by the `la_fault` storm
+//! `a_pass_closes_its_bag_before_it_takes_its_snapshot` in
+//! `tests/panic_safety.rs`.  What the models *do* race is the part the
+//! paper's argument rests on: the registry's atomic slots, i.e. whether a
+//! `Collect` snapshot taken by the reclaimer can ever miss a pin that was
+//! established before the bag closed.
 //!
 //! Central invariant: **a node retired while an operation is pinned is never
 //! freed before that operation unpins.**  The pinned reader checks the

@@ -191,8 +191,10 @@ fn watchdog_telemetry_stays_quiet_on_healthy_elastic_traffic() {
 mod storm {
     use super::*;
     use la_fault::{FaultAction, FaultPlan};
+    use la_reclaim::ReclaimDomain;
     use levelarray::{LevelArrayConfig, Name};
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     /// Takes the binary-wide [`super::GATE`] (shared with the always-on
@@ -768,6 +770,76 @@ mod storm {
         la_fault::release_paused();
         stuck.join().expect("the stuck pinner panicked");
         array.free(anchor);
+        la_fault::reset();
+    }
+
+    /// A payload that counts its drops.
+    struct DropCounter(Arc<AtomicUsize>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A reclamation pass closes the open bag *before* it takes its
+    /// `Collect`.  Park a pass between the two: a node retired meanwhile
+    /// must go to the next bag (so `retire` does not wait for the parked
+    /// pass), and a reader pinned meanwhile must hold that node alive.  A
+    /// pass that snapshots first would file the node against a snapshot
+    /// that misses the reader and free it under the reader.
+    #[test]
+    fn a_pass_closes_its_bag_before_it_takes_its_snapshot() {
+        let _gate = armed(FaultPlan::count_only(1));
+        let domain = Arc::new(ReclaimDomain::new(Arc::new(LevelArray::new(4))));
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        la_fault::reset();
+        la_fault::arm_site("reclaim::closed", 1, FaultAction::Pause);
+        let pass = {
+            let domain = Arc::clone(&domain);
+            std::thread::spawn(move || domain.try_reclaim())
+        };
+        for _ in 0..2000 {
+            if la_fault::paused_count() == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(la_fault::paused_count(), 1, "the pass never parked");
+
+        // Pin a reader, then retire a node from another thread, while the
+        // pass is parked between its close and its snapshot.  The retire
+        // must complete without waiting for the pass.
+        let mut rng = default_rng(9);
+        let reader = domain.pin(&mut rng);
+        let retirer = {
+            let domain = Arc::clone(&domain);
+            let node = Box::new(DropCounter(Arc::clone(&drops)));
+            std::thread::spawn(move || domain.retire(node))
+        };
+        for _ in 0..2000 {
+            if retirer.is_finished() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(retirer.is_finished(), "retire waited for the parked pass");
+        assert_eq!(la_fault::paused_count(), 1, "the pass moved on early");
+        retirer.join().expect("the retirer panicked");
+
+        la_fault::release_paused();
+        assert_eq!(pass.join().expect("the parked pass panicked"), 0);
+        for _ in 0..2 {
+            assert_eq!(domain.try_reclaim(), 0, "freed under a live reader");
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a live reader");
+
+        drop(reader);
+        assert_eq!(domain.try_reclaim(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        let stats = domain.stats();
+        assert_eq!((stats.retired, stats.freed, stats.in_limbo), (1, 1, 0));
         la_fault::reset();
     }
 }
