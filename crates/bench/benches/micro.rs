@@ -4,13 +4,14 @@
 //! These complement the figure harnesses: Figure 2 measures end-to-end
 //! workload behaviour, while these benches isolate the latency of a single
 //! `Get`+`Free` pair, a `Collect`, and the application fast paths
-//! (reclamation pin/unpin, flat-combining operations, reader registration) at
-//! a fixed occupancy.
+//! (reclamation pin/unpin, alone and under a concurrent `Collect`,
+//! flat-combining operations, reader registration) at a fixed occupancy.
 
 //! Set `MICRO_QUICK=1` to shrink the warm-up and measurement windows to a
 //! smoke-test size (`make bench-smoke` uses this to *execute* the wiring
 //! rather than collect publishable numbers).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -253,6 +254,30 @@ fn bench_applications(c: &mut Criterion) {
             })
         });
         domain.try_reclaim();
+    }
+
+    // Registration under Collect: pin/unpin on the perfbench `reclaim`
+    // registry size while a helper thread scans the same registry in a
+    // loop, as another core's reclamation passes do.  Each scan reads every
+    // registry line, so this is the cell where a pin pays for pulling its
+    // slot's line back from the scanning core.
+    {
+        let domain = ReclaimDomain::new(Arc::new(LevelArray::new(4096)));
+        let stop = AtomicBool::new(false);
+        let mut rng = default_rng(7);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut scan = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    scan.clear();
+                    domain.registry().collect_into(&mut scan);
+                }
+            });
+            group.bench_function("reclaim_pin_while_collecting", |b| {
+                b.iter(|| domain.pin(&mut rng).probes())
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     // Flat combining: uncontended fetch_add through the combiner.

@@ -2,7 +2,7 @@
 //!
 //! Every crate holding `unsafe` concurrent code in this workspace —
 //! `levelarray::{epoch_chain, elastic, packed, probe_core, registry,
-//! slot}`, `la_reclaim::stack`, `la_flatcombine::engine` —
+//! slot}`, `la_reclaim::{domain, stack}`, `la_flatcombine::engine` —
 //! imports its atomics, `UnsafeCell` wrapper, and thread primitives from
 //! here instead of `std`:
 //!

@@ -126,6 +126,29 @@ pub trait ActivityArray: Send + Sync + std::fmt::Debug {
         k
     }
 
+    /// Re-acquires exactly `name` with one test-and-set, outside the paper's
+    /// probe sequence and without drawing from any random source.
+    ///
+    /// Returns `None` if `name` is held, out of range, or tagged with an
+    /// epoch that is no longer live (sealed or unlinked), so a stale `name`
+    /// degrades to a clean miss and the caller falls back to
+    /// [`ActivityArray::try_get`].  A win reports a probe count of 1 and the
+    /// same batch tag / backup flag the probe path would report for that
+    /// slot; it is an ordinary acquisition, released by
+    /// [`ActivityArray::free`], with the same uniqueness guarantee.
+    ///
+    /// This is the kernel behind sticky registration: a caller that keeps
+    /// the name it released last (`la_reclaim`'s `ReclaimDomain::pin`) can
+    /// re-take a slot whose cache line its own core most likely still holds
+    /// exclusively, where a randomized `Get` lands on a line that another
+    /// core's `Collect` has read since.  The LevelArray facades implement it
+    /// with the same one-CAS kernel as their Free→Get hint; the default
+    /// (the baselines) returns `None`.
+    #[must_use = "dropping the result leaks the acquired name"]
+    fn try_reacquire(&self, _name: Name) -> Option<Acquired> {
+        None
+    }
+
     /// Releases a name previously returned by `try_get`/`get`.
     ///
     /// # Panics

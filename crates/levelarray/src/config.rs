@@ -314,6 +314,14 @@ impl LevelArrayConfig {
     /// opposite of what the self-healing experiments (paper §5.2, the
     /// `healing` bench) are measuring — enable it for churn-heavy production
     /// workloads, leave it off when reproducing the paper's figures.
+    ///
+    /// Under `la_reclaim`'s `ReclaimDomain` the hint is redundant: the
+    /// domain already re-takes a thread's last name with
+    /// [`crate::ActivityArray::try_reacquire`], fenced by its reclamation
+    /// passes.  The hint has no such fence (the domain's fallback `Get`
+    /// takes it right after a pass), so it stays safe but its limbo drains
+    /// only when a pass's `Collect` catches the name between a free and the
+    /// next pin, with no bound on how many passes that takes.
     #[must_use = "builder methods return the updated configuration"]
     pub fn free_hint(mut self, enabled: bool) -> Self {
         self.free_hint = enabled;

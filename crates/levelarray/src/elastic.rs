@@ -1392,6 +1392,14 @@ impl ActivityArray for ElasticLevelArray {
         ElasticLevelArray::get_many(self, rng, k, out)
     }
 
+    fn try_reacquire(&self, name: Name) -> Option<Acquired> {
+        // The same re-validation under a fresh pin as the Free→Get hint: a
+        // sealed or unlinked epoch is a miss, and a win is counted in the
+        // cell's held stripes.
+        let pin = self.chain.pin();
+        Self::hint_acquire(&pin, name)
+    }
+
     fn free(&self, name: Name) {
         // Pre-effect: an unwind here means the Free never happened — the
         // caller still holds the name and can safely retry.  Past this

@@ -274,6 +274,10 @@ impl ActivityArray for LevelArray {
         LevelArray::get_many(self, rng, k, out)
     }
 
+    fn try_reacquire(&self, name: Name) -> Option<Acquired> {
+        self.core.hint_acquire(name)
+    }
+
     fn free(&self, name: Name) {
         self.core.free(name);
         if self.free_hint {

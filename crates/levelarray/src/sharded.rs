@@ -536,6 +536,10 @@ impl ActivityArray for ShardedLevelArray {
         ShardedLevelArray::get_many(self, rng, k, out)
     }
 
+    fn try_reacquire(&self, name: Name) -> Option<Acquired> {
+        self.hint_acquire(name)
+    }
+
     fn free(&self, name: Name) {
         let (shard, local) = self.split(name);
         self.shards[shard].0.free(local);

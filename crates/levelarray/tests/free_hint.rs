@@ -263,3 +263,59 @@ fn hinted_fill_reaches_capacity_with_unique_names() {
     assert_eq!(held.len(), array.capacity());
     assert!(array.try_get(&mut rng).is_none());
 }
+
+/// `ActivityArray::try_reacquire`, the sticky-registration kernel, shares
+/// the hint's one-CAS path but not its knob: with the hint off, it wins
+/// exactly the named slot when that slot is free (one probe, same census)
+/// and misses on a held, out-of-range or dead-epoch name.
+#[test]
+fn try_reacquire_wins_exactly_the_named_free_slot_on_every_facade() {
+    let base = LevelArrayConfig::new(16);
+    let facades: Vec<Box<dyn ActivityArray>> = vec![
+        Box::new(base.clone().build().unwrap()),
+        Box::new(base.clone().build_sharded(2).unwrap()),
+        Box::new(
+            base.clone()
+                .growth(GrowthPolicy::Doubling { max_epochs: 3 })
+                .build_elastic()
+                .unwrap(),
+        ),
+    ];
+    for array in facades {
+        let label = array.algorithm_name();
+        let mut rng = default_rng(0x57C7);
+        let got = array.get(&mut rng);
+        assert!(array.try_reacquire(got.name()).is_none(), "{label}: held");
+        array.free(got.name());
+        let again = array
+            .try_reacquire(got.name())
+            .unwrap_or_else(|| panic!("{label}: the freed slot is free"));
+        assert_eq!(again.name(), got.name(), "{label}");
+        assert_eq!(again.probes(), 1, "{label}");
+        assert_eq!(array.collect(), vec![got.name()], "{label}");
+        let out_of_range = Name::new(array.capacity() + 5);
+        assert!(array.try_reacquire(out_of_range).is_none(), "{label}");
+        assert!(
+            array.try_reacquire(Name::with_epoch(7, 0)).is_none(),
+            "{label}"
+        );
+        array.free(again.name());
+        assert!(array.collect().is_empty(), "{label}");
+    }
+
+    // A name from a retired epoch misses cleanly.
+    let elastic = LevelArrayConfig::new(2)
+        .growth(GrowthPolicy::Doubling { max_epochs: 4 })
+        .auto_retire(false)
+        .build_elastic()
+        .unwrap();
+    let mut rng = default_rng(0x57C8);
+    let names: Vec<Name> = (0..12).map(|_| elastic.get(&mut rng).name()).collect();
+    let old = *names.iter().find(|n| n.epoch() == 0).unwrap();
+    for name in names {
+        elastic.free(name);
+    }
+    let _ = elastic.try_retire();
+    assert_eq!(elastic.num_epochs(), 1, "the drained old epochs retire");
+    assert!(elastic.try_reacquire(old).is_none());
+}

@@ -4,8 +4,9 @@
 //! # Protocol
 //!
 //! * A thread **pins** the domain before touching a protected structure:
-//!   [`ReclaimDomain::pin`] performs a `Get` on the activity array and returns
-//!   an RAII [`OperationGuard`]; dropping the guard performs the `Free`.
+//!   [`ReclaimDomain::pin`] registers a name in the activity array and
+//!   returns an RAII [`OperationGuard`]; dropping the guard performs the
+//!   `Free`.
 //! * When a thread unlinks a node it calls [`ReclaimDomain::retire`] — the
 //!   node goes into the *open limbo bag* together with nothing else; it cannot
 //!   be freed yet because other pinned operations may still hold references.
@@ -22,9 +23,10 @@
 //!
 //! * the **open lock** guards the open bag and the retired count.  `retire`
 //!   takes only this lock, for one push;
-//! * the **limbo lock** guards the closed bags, the scan buffer and the pass
-//!   counters.  A pass holds it from start to end, so passes run one at a
-//!   time.
+//! * the **limbo lock** guards the closed bags, the scan buffer and the
+//!   freed count.  A pass holds it from start to end, so passes run one at
+//!   a time.  The pass counter sits beside the locks in an atomic of its
+//!   own (see "Sticky pins"), but only a pass, under this lock, bumps it.
 //!
 //! Two rules keep this sound and deadlock-free:
 //!
@@ -39,6 +41,46 @@
 //!   takes the open lock only while it holds the limbo lock; `retire` never
 //!   takes the limbo lock.
 //!
+//! ## Sticky pins
+//!
+//! Every pass's `Collect` reads every registry line, so a randomized `Get`
+//! right after another core's pass lands on a line that core still holds
+//! and pays to pull it back.  A pin therefore first re-takes the name its
+//! thread released last in this domain, with one test-and-set
+//! ([`ActivityArray::try_reacquire`]): that line is usually still
+//! exclusive in the thread's own cache.  If the name is taken (or the
+//! registry has no such kernel) the pin falls back to the paper's
+//! randomized `Get`.  Each thread keeps one entry, `(domain, name, pass)`;
+//! a thread that alternates between two domains simply loses it.
+//!
+//! The **fence** is the pass counter.  A pin reads it and takes the sticky
+//! path only if its thread's entry was recorded at the current count; a
+//! guard records its name on drop only if the count has not moved since its
+//! pin.  So every op of a *sticky chain* — consecutive ops of one thread on
+//! one name — pinned within one pass interval, and the first pin after a
+//! pass draws afresh.
+//!
+//! * **Safety does not depend on which name a pin takes.**  A name seen
+//!   absent proves that the op holding it when the bag closed has unpinned;
+//!   an op that takes the same name later, sticky or not, started after the
+//!   absence and so after the unlink, and cannot reach the bag's nodes.
+//! * **Liveness: a sticky chain never outlives the pass interval it started
+//!   in.**  A bag closed in pass `p` waits on names held at its snapshot; a
+//!   chain holding such a name pinned every op before pass `p` finished, so
+//!   by pass `p + 2`'s snapshot the name is present only if an op pinned
+//!   before pass `p` finished is still running, or a random `Get` redrew
+//!   the name.  A bag closed in pass `p` therefore ripens by pass `p + 2`
+//!   under the same conditions that ripen it by pass `p + 1` without sticky
+//!   pins.  Without the fence a chain could hold one name through every
+//!   snapshot, and its bags would wait for a snapshot to fall in the gap
+//!   between a free and the next pin.
+//!
+//! The registry's own Free→Get hint ([`levelarray::LevelArrayConfig::free_hint`])
+//! is a sticky path *without* this fence: the fallback `Get` would take it
+//! after every pass.  It stays safe, and the domain's drain test over a
+//! hinted registry passes, but its bags ripen only when a snapshot happens
+//! to catch the gap, with no pass bound.
+//!
 //! This is the "dynamic collect" reclamation scheme of the paper's reference
 //! \[17\], expressed over the activity-array API.
 //!
@@ -48,9 +90,11 @@
 //! absence proof is exactly the quiescence argument
 //! [`levelarray::ElasticLevelArray`] itself uses to retire drained epochs.
 
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use la_fault::fail_point;
+use la_sync::atomic::{AtomicU64, Ordering};
 
 use larng::RandomSource;
 use levelarray::{ActivityArray, Name};
@@ -125,8 +169,6 @@ struct LimboState {
     closing: Vec<Retired>,
     /// Nodes freed (or moved out to be freed) so far.
     freed: u64,
-    /// Completed reclamation passes.
-    passes: u64,
 }
 
 impl LimboState {
@@ -156,12 +198,38 @@ pub struct DomainStats {
     pub pinned_now: usize,
 }
 
+/// The pass counter, padded to its own pair of cache lines: every pin reads
+/// it, and every `retire` writes the open lock that would otherwise share
+/// its line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct PassCounter(AtomicU64);
+
+thread_local! {
+    /// The calling thread's sticky entry: the domain it last unpinned from,
+    /// the name it released there, and the pass count it pinned at (see
+    /// "Sticky pins" in the module docs).
+    static STICKY: Cell<Option<(u64, Name, u64)>> = const { Cell::new(None) };
+}
+
+/// Allocates a process-unique identity for one domain, so a thread's sticky
+/// entry never crosses from one domain to another.
+fn next_domain_id() -> u64 {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
 /// A reclamation domain built over an activity array.
 ///
 /// See the [module documentation](self) for the protocol.
 #[derive(Debug)]
 pub struct ReclaimDomain {
     registry: Arc<dyn ActivityArray>,
+    /// Keys the calling thread's sticky entry.
+    id: u64,
+    /// Completed reclamation passes, bumped by a pass under the limbo lock:
+    /// the fence of the sticky path.
+    passes: PassCounter,
     /// The pass lock.  Lock order: `limbo` → `open`.
     limbo: Mutex<LimboState>,
     /// The retire lock, held for one push.
@@ -173,6 +241,8 @@ impl ReclaimDomain {
     pub fn new(registry: Arc<dyn ActivityArray>) -> Self {
         ReclaimDomain {
             registry,
+            id: next_domain_id(),
+            passes: PassCounter::default(),
             limbo: Mutex::new(LimboState::default()),
             open: Mutex::new(OpenBag::default()),
         }
@@ -187,16 +257,32 @@ impl ReclaimDomain {
     /// drop.  The guard must be held across every access to memory protected
     /// by this domain.
     ///
+    /// If no pass has run since this thread's previous operation in this
+    /// domain pinned, the pin first re-takes the name that operation
+    /// released, with one test-and-set ([`ActivityArray::try_reacquire`]);
+    /// otherwise, or if that name is taken, it runs the registry's randomized
+    /// `Get` (see "Sticky pins" in the module docs).
+    ///
     /// # Panics
     ///
     /// Panics if the activity array is exhausted, i.e. more operations are
     /// simultaneously pinned than the contention bound it was built for.
     pub fn pin(&self, rng: &mut dyn RandomSource) -> OperationGuard<'_> {
-        let acquired = self.registry.get(rng);
+        // Relaxed: the count only steers which name the pin takes, and
+        // safety holds for any name (see "Sticky pins").
+        let pass = self.passes.0.load(Ordering::Relaxed);
+        let acquired = match STICKY.with(Cell::get) {
+            Some((domain, name, at)) if domain == self.id && at == pass => {
+                self.registry.try_reacquire(name)
+            }
+            _ => None,
+        }
+        .unwrap_or_else(|| self.registry.get(rng));
         OperationGuard {
             domain: self,
             name: acquired.name(),
             probes: acquired.probes(),
+            pass,
         }
     }
 
@@ -305,7 +391,9 @@ impl ReclaimDomain {
         });
         let freed = ripe.len() as u64;
         limbo.freed += freed;
-        limbo.passes += 1;
+        // Ends every sticky chain pinned before this point (only passes
+        // write it, one at a time, under the limbo lock).
+        self.passes.0.fetch_add(1, Ordering::Relaxed);
         drop(guard);
 
         // (4) Free outside the lock: nothing can reach these nodes any more.
@@ -343,7 +431,7 @@ impl ReclaimDomain {
                 open.retired,
                 limbo.freed,
                 open.nodes.len() as u64 + limbo.in_limbo(),
-                limbo.passes,
+                self.passes.0.load(Ordering::Relaxed),
             )
         };
         DomainStats {
@@ -383,6 +471,8 @@ pub struct OperationGuard<'a> {
     domain: &'a ReclaimDomain,
     name: Name,
     probes: u32,
+    /// The domain's pass count when this operation pinned.
+    pass: u64,
 }
 
 impl OperationGuard<'_> {
@@ -391,7 +481,9 @@ impl OperationGuard<'_> {
         self.name
     }
 
-    /// How many probes the registration took (the quantity the paper measures).
+    /// How many probes the registration took (the quantity the paper
+    /// measures): 1 on a sticky hit, whose single test-and-set sits outside
+    /// the paper's probe sequence.
     pub fn probes(&self) -> u32 {
         self.probes
     }
@@ -399,7 +491,12 @@ impl OperationGuard<'_> {
 
 impl Drop for OperationGuard<'_> {
     fn drop(&mut self) {
-        self.domain.registry.free(self.name);
+        let domain = self.domain;
+        domain.registry.free(self.name);
+        // The fence: a pass since the pin ends the sticky chain.
+        if domain.passes.0.load(Ordering::Relaxed) == self.pass {
+            STICKY.with(|sticky| sticky.set(Some((domain.id, self.name, self.pass))));
+        }
     }
 }
 
@@ -441,7 +538,8 @@ mod tests {
     use larng::default_rng;
     use levelarray::LevelArray;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     fn domain(n: usize) -> ReclaimDomain {
         ReclaimDomain::new(Arc::new(LevelArray::new(n)))
@@ -634,6 +732,160 @@ mod tests {
         // With every pin released the registry drains and retires old epochs.
         registry.try_retire();
         assert_eq!(registry.num_epochs(), 1);
+    }
+
+    #[test]
+    fn a_repin_within_one_pass_interval_retakes_the_same_name() {
+        let d = domain(4096);
+        let mut rng = default_rng(8);
+        let first = d.pin(&mut rng).name();
+        for _ in 0..3 {
+            let again = d.pin(&mut rng);
+            assert_eq!(again.name(), first, "no pass ran: the pin must stick");
+            assert_eq!(again.probes(), 1, "a sticky hit is one test-and-set");
+        }
+        // A name taken by someone else is skipped, not shared.
+        let holder = d.pin(&mut rng);
+        let other = d.pin(&mut rng);
+        assert_ne!(other.name(), holder.name());
+    }
+
+    #[test]
+    fn a_pass_ends_the_sticky_chain() {
+        let d = domain(4096);
+        let mut rng = default_rng(9);
+
+        // A pass between an unpin and the next pin.
+        let released = d.pin(&mut rng).name();
+        d.try_reclaim();
+        let next = d.pin(&mut rng);
+        assert_ne!(
+            next.name(),
+            released,
+            "the pin after a pass must draw afresh"
+        );
+
+        // A pass while pinned: the guard records nothing on drop.
+        let straddled = next.name();
+        d.try_reclaim();
+        drop(next);
+        assert_ne!(d.pin(&mut rng).name(), straddled);
+    }
+
+    #[test]
+    fn a_thread_that_switches_domains_loses_its_sticky_name() {
+        let (a, b) = (domain(4096), domain(4096));
+        let mut rng = default_rng(10);
+        let on_a = a.pin(&mut rng).name();
+        drop(b.pin(&mut rng));
+        assert_ne!(a.pin(&mut rng).name(), on_a);
+    }
+
+    #[test]
+    fn a_bag_closed_under_a_sticky_chain_ripens_by_the_second_pass_after_it() {
+        let d = domain(4096);
+        let mut rng = default_rng(11);
+        let drops = Arc::new(AtomicUsize::new(0));
+
+        // A sticky chain whose last op is pinned when the bag closes.
+        let chain = d.pin(&mut rng).name();
+        let last = d.pin(&mut rng);
+        assert_eq!(last.name(), chain);
+        d.retire(Box::new(DropCounter(Arc::clone(&drops))));
+        assert_eq!(d.try_reclaim(), 0, "closed against the chain's name");
+        drop(last);
+
+        // The thread stays busy, pinned across every pass; its pins must
+        // leave the chain's name, or the bag would wait on it forever.
+        let mut freed = 0;
+        for _ in 0..2 {
+            let busy = d.pin(&mut rng);
+            assert_ne!(busy.name(), chain, "the fence must end the chain");
+            freed += d.try_reclaim();
+            drop(busy);
+        }
+        assert_eq!(freed, 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// Two threads pin and unpin in tight loops, each doing a little work
+    /// while pinned, while this thread retires and reclaims.  Once retiring
+    /// stops, passes must drain limbo while the pinners are still running,
+    /// and two passes after they stop nothing may be left.
+    fn limbo_drains_under_live_pinners(registry: Arc<dyn ActivityArray>) {
+        const RETIRED: usize = 2_000;
+        let d = ReclaimDomain::new(registry);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let stop = AtomicBool::new(false);
+        let running = AtomicUsize::new(0);
+        let drained_after = std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (d, stop, running) = (&d, &stop, &running);
+                scope.spawn(move || {
+                    let mut rng = default_rng(200 + t);
+                    drop(d.pin(&mut rng));
+                    running.fetch_add(1, Ordering::SeqCst);
+                    while !stop.load(Ordering::Relaxed) {
+                        let guard = d.pin(&mut rng);
+                        for _ in 0..32 {
+                            std::hint::black_box(guard.name());
+                        }
+                    }
+                });
+            }
+            while running.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            for i in 0..RETIRED {
+                d.retire(Box::new(DropCounter(Arc::clone(&drops))));
+                if i % 16 == 15 {
+                    d.try_reclaim();
+                }
+            }
+            // A pinner descheduled while pinned holds a bag back for its
+            // whole timeslice, sticky pins or not: bound by time, not passes.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut passes = 0u64;
+            while d.stats().in_limbo != 0 && Instant::now() < deadline {
+                d.try_reclaim();
+                passes += 1;
+            }
+            let in_limbo = d.stats().in_limbo;
+            // Stop the pinners before asserting, or a failure would hang
+            // the scope.
+            stop.store(true, Ordering::Relaxed);
+            (in_limbo, passes)
+        });
+        assert_eq!(
+            drained_after.0, 0,
+            "{} passes under live pinners left limbo undrained",
+            drained_after.1
+        );
+
+        d.try_reclaim();
+        d.try_reclaim();
+        let stats = d.stats();
+        assert_eq!(stats.in_limbo, 0, "{stats:?}");
+        assert_eq!(stats.freed, RETIRED as u64, "{stats:?}");
+        assert_eq!(drops.load(Ordering::SeqCst), RETIRED);
+    }
+
+    #[test]
+    fn limbo_drains_while_sticky_pinners_keep_running() {
+        limbo_drains_under_live_pinners(Arc::new(LevelArray::new(256)));
+    }
+
+    /// The registry's Free→Get hint is stickiness without the pass fence:
+    /// the domain's fallback `Get` takes it after every pass.  Limbo still
+    /// drains, through snapshots that catch a name between its free and
+    /// the next pin.
+    #[test]
+    fn limbo_drains_while_pinners_run_over_a_free_hint_registry() {
+        let registry = levelarray::LevelArrayConfig::new(256)
+            .free_hint(true)
+            .build()
+            .unwrap();
+        limbo_drains_under_live_pinners(Arc::new(registry));
     }
 
     #[test]

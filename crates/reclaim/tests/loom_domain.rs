@@ -21,7 +21,10 @@
 //!
 //! Central invariant: **a node retired while an operation is pinned is never
 //! freed before that operation unpins.**  The pinned reader checks the
-//! drop flag mid-pin in every explored schedule.
+//! drop flag mid-pin in every explored schedule.  One model pins through
+//! the sticky path (a thread re-taking the name it released last) and
+//! re-pins while two passes race it, so the explored schedules include the
+//! pass counter's fence landing on either side of each pin and unpin.
 
 use std::sync::Arc;
 
@@ -110,5 +113,50 @@ fn pin_established_after_the_bag_closed_never_blocks_it() {
         // already be free if the passes above never saw the pin.)
         let _ = domain.try_reclaim();
         assert_eq!(dropped.load(Ordering::SeqCst), 1);
+    });
+}
+
+#[test]
+fn a_sticky_repin_racing_two_passes_never_frees_under_the_first_pin() {
+    la_sync::model(|| {
+        let domain = Arc::new(ReclaimDomain::new(Arc::new(LevelArray::new(1))));
+        let dropped = Arc::new(AtomicUsize::new(0));
+
+        // Arm this thread's sticky entry, take the first pin through it, and
+        // retire under that pin — sequentially, before the reclaimer exists.
+        let mut rng = default_rng(13);
+        let armed = domain.pin(&mut rng).name();
+        let first = domain.pin(&mut rng);
+        assert_eq!(first.name(), armed, "no pass has run: the pin sticks");
+        assert_eq!(first.probes(), 1);
+        domain.retire(Box::new(DropFlag(Arc::clone(&dropped))));
+
+        let reclaimer = la_sync::thread::spawn({
+            let domain = Arc::clone(&domain);
+            move || {
+                let _ = domain.try_reclaim();
+                let _ = domain.try_reclaim();
+            }
+        });
+
+        // The protected read under the first pin.
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            0,
+            "retired node freed under an active pin"
+        );
+        // Unpin and re-pin: sticky if neither pass has bumped the count
+        // since the first pin, a fresh `Get` otherwise.  Either way the
+        // second pin started after the retire, so it may delay the node but
+        // must never be what keeps it safe.
+        drop(first);
+        let second = domain.pin(&mut rng);
+        drop(second);
+        reclaimer.join().expect("reclaimer thread panicked");
+
+        // Quiescent: one more pass must flush the node exactly once.
+        let _ = domain.try_reclaim();
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
+        assert_eq!(domain.stats().in_limbo, 0);
     });
 }
